@@ -32,8 +32,9 @@ int main(int argc, char** argv) {
     std::printf("      the same path `v6d run ranks=N` executes.  Ranks are\n");
     std::printf("      threads, so wall time oversubscribes beyond the core\n");
     std::printf("      count — per-rank comm volume is the signal.  Each\n");
-    std::printf("      rank count runs twice: overlap=off (blocking\n");
-    std::printf("      reference) and overlap=on (the production pipeline);\n");
+    std::printf("      rank count runs twice: overlap=off (each exchange\n");
+    std::printf("      completed at once) and overlap=on (the production\n");
+    std::printf("      pipeline);\n");
     std::printf("      halo eff = exposed halo wait / total halo time —\n");
     std::printf("      lower means more communication hidden)\n\n");
     // Bricks must be meaningfully deeper than 2*ghost = 6 or the
@@ -61,7 +62,7 @@ int main(int argc, char** argv) {
                      "s");
       harness.metric("halo_s_ranks_" + tag, ovlp.halo_seconds, "s");
       // Exposed / total communication: 0 = fully hidden, 1 = fully on the
-      // critical path (the synchronous reference is 1 by construction).
+      // critical path (overlap=off is 1 by construction).
       const double eff = ovlp.halo_seconds > 0.0
                              ? ovlp.halo_wait_seconds / ovlp.halo_seconds
                              : 0.0;

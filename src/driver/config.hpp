@@ -62,9 +62,9 @@ struct SimulationConfig {
                                    // TransportError (0 = detection off;
                                    // meaningless for inproc)
   bool overlap = true;        // hide halo/fold/slab communication behind
-                              // interior compute (bit-identical to the
-                              // synchronous reference path; off = PR-4
-                              // blocking exchanges, kept for comparison)
+                              // interior compute (off = the same plans,
+                              // each exchange completed at once;
+                              // bit-identical either way)
 
   // --- driver control ---
   int max_steps = 0;          // stop after this many total steps (0 = off)

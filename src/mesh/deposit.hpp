@@ -27,7 +27,7 @@ struct MeshPatch {
 /// Accumulate particle mass density onto the grid: rho += m_i W(x - x_i)/h^3.
 /// Positions are global, periodic in [0, box).  Contributions within the
 /// `ghost` ring are deposited to ghost cells; callers fold them afterwards
-/// (Grid3D::fold_ghosts_periodic or mesh::fold_grid_halo).  CIC needs
+/// (Grid3D::fold_ghosts_periodic or mesh::GridFoldPlan).  CIC needs
 /// ghost >= 1, TSC ghost >= 1 as well (their support is <= 1 cell beyond
 /// the owner when the owner is local).
 void deposit(Grid3D<double>& rho, const MeshPatch& patch,

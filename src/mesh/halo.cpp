@@ -1,6 +1,5 @@
 #include "mesh/halo.hpp"
 
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -9,10 +8,8 @@ namespace v6d::mesh {
 
 namespace {
 
-// Tags: axis * 4 + (0: to backward neighbor, 1: to forward neighbor) + a
-// base offset distinguishing exchange kinds.
-constexpr int kHaloTagBase = 100;
-constexpr int kFoldTagBase = 200;
+// Tags: base + axis * 4 + (0: travelling +axis, 1: travelling -axis).
+constexpr int kGridHaloTagBase = 150;
 
 struct Range {
   int lo, hi;  // half-open interval of cell indices
@@ -35,125 +32,6 @@ void require_ghost_fits(const char* fn, int axis, int n_axis, int ghost,
       std::to_string(ranks_along_axis) +
       " ranks); use fewer ranks along this axis");
 }
-
-// Generic axis exchange over an indexable 3-D container of `Cell` payloads.
-// get/set copy whole payload units (a scalar for mesh grids, a velocity
-// block for phase space).
-template <class Pack, class Unpack>
-void exchange_axis(comm::CartTopology& cart, int axis, int n_axis, int ghost,
-                   Range t1, Range t2, int tag_base, Pack&& pack,
-                   Unpack&& unpack) {
-  auto& comm = cart.comm();
-  const auto nbr = cart.neighbors(axis);
-
-  // Persistent per-rank (thread) scratch: halo exchange runs several times
-  // per step, so per-call vectors were steady-state allocation churn.
-  thread_local std::vector<float> send_hi, send_lo, recv_buf;
-
-  const int tag_fwd = tag_base + axis * 4 + 0;  // travelling +axis
-  const int tag_bwd = tag_base + axis * 4 + 1;  // travelling -axis
-
-  // Send our low interior layers to the backward neighbor (they become its
-  // high ghosts) and vice versa.
-  // High interior -> forward neighbor's low ghosts.
-  pack(n_axis - ghost, ghost, t1, t2, send_hi);
-  comm.send(nbr[1], tag_fwd, send_hi.data(), send_hi.size());
-  // Low interior -> backward neighbor's high ghosts.
-  pack(0, ghost, t1, t2, send_lo);
-  comm.send(nbr[0], tag_bwd, send_lo.data(), send_lo.size());
-
-  recv_buf.resize(send_hi.size());
-  comm.recv(nbr[0], tag_fwd, recv_buf.data(), recv_buf.size());
-  unpack(-ghost, ghost, t1, t2, recv_buf);
-
-  recv_buf.resize(send_lo.size());
-  comm.recv(nbr[1], tag_bwd, recv_buf.data(), recv_buf.size());
-  unpack(n_axis, ghost, t1, t2, recv_buf);
-}
-
-}  // namespace
-
-void exchange_phase_space_halo(vlasov::PhaseSpace& f,
-                               comm::CartTopology& cart) {
-  if (cart.comm().size() == 1) {
-    f.fill_ghosts_periodic();
-    return;
-  }
-  const auto& d = f.dims();
-  const int g = d.ghost;
-  const std::size_t bs = f.block_size();
-  const int n[3] = {d.nx, d.ny, d.nz};
-
-  // Axis-by-axis; transverse ranges grow as earlier axes fill their ghosts.
-  for (int axis = 0; axis < 3; ++axis) {
-    // Transverse extents: axes already exchanged include ghosts.
-    Range r[3];
-    for (int t = 0; t < 3; ++t)
-      r[t] = t < axis ? Range{-g, n[t] + g} : Range{0, n[t]};
-
-    auto cell = [&](int a, int b, int c) -> float* {
-      int idx[3];
-      idx[axis] = a;
-      int tpos = 0;
-      for (int t = 0; t < 3; ++t) {
-        if (t == axis) continue;
-        idx[t] = tpos == 0 ? b : c;
-        ++tpos;
-      }
-      return f.block(idx[0], idx[1], idx[2]);
-    };
-    // Identify the two transverse axes (in increasing order).
-    int ta = -1, tb = -1;
-    for (int t = 0; t < 3; ++t) {
-      if (t == axis) continue;
-      (ta < 0 ? ta : tb) = t;
-    }
-
-    if (cart.dims()[static_cast<std::size_t>(axis)] == 1) {
-      // Undecomposed axis: the whole axis lives on this rank, so the halo
-      // is the local periodic wrap.  The modulo handles extents smaller
-      // than the ghost width (quasi-1D grids), which a self-send of
-      // interior slabs cannot.
-      for (int a = -g; a < n[axis] + g; ++a) {
-        if (a >= 0 && a < n[axis]) continue;
-        const int src = wrap(a, n[axis]);
-        for (int b = r[ta].lo; b < r[ta].hi; ++b)
-          for (int c = r[tb].lo; c < r[tb].hi; ++c)
-            std::memcpy(cell(a, b, c), cell(src, b, c), bs * sizeof(float));
-      }
-      continue;
-    }
-    require_ghost_fits("exchange_phase_space_halo", axis, n[axis], g,
-                       cart.dims()[static_cast<std::size_t>(axis)]);
-
-    auto pack = [&](int lo, int count, Range t1, Range t2,
-                    std::vector<float>& buf) {
-      buf.resize(static_cast<std::size_t>(count) * t1.count() * t2.count() *
-                 bs);
-      std::size_t o = 0;
-      for (int a = lo; a < lo + count; ++a)
-        for (int b = t1.lo; b < t1.hi; ++b)
-          for (int c = t2.lo; c < t2.hi; ++c) {
-            std::memcpy(buf.data() + o, cell(a, b, c), bs * sizeof(float));
-            o += bs;
-          }
-    };
-    auto unpack = [&](int lo, int count, Range t1, Range t2,
-                      const std::vector<float>& buf) {
-      std::size_t o = 0;
-      for (int a = lo; a < lo + count; ++a)
-        for (int b = t1.lo; b < t1.hi; ++b)
-          for (int c = t2.lo; c < t2.hi; ++c) {
-            std::memcpy(cell(a, b, c), buf.data() + o, bs * sizeof(float));
-            o += bs;
-          }
-    };
-    exchange_axis(cart, axis, n[axis], g, r[ta], r[tb], kHaloTagBase, pack,
-                  unpack);
-  }
-}
-
-namespace {
 
 template <class T>
 void exchange_grid_halo_impl(Grid3D<T>& grid, comm::CartTopology& cart) {
@@ -213,8 +91,8 @@ void exchange_grid_halo_impl(Grid3D<T>& grid, comm::CartTopology& cart) {
         for (int b = r[ta].lo; b < r[ta].hi; ++b)
           for (int c = r[tb].lo; c < r[tb].hi; ++c) at(a, b, c) = buf[o++];
     };
-    const int tag_fwd = kHaloTagBase + 50 + axis * 4;
-    const int tag_bwd = kHaloTagBase + 50 + axis * 4 + 1;
+    const int tag_fwd = kGridHaloTagBase + axis * 4;
+    const int tag_bwd = kGridHaloTagBase + axis * 4 + 1;
     pack(n[axis] - g, send_hi);
     comm.send(nbr[1], tag_fwd, send_hi.data(), send_hi.size());
     pack(0, send_lo);
@@ -235,89 +113,6 @@ void exchange_grid_halo(Grid3D<double>& g, comm::CartTopology& cart) {
 }
 void exchange_grid_halo(Grid3D<float>& g, comm::CartTopology& cart) {
   exchange_grid_halo_impl(g, cart);
-}
-
-void fold_grid_halo(Grid3D<double>& grid, comm::CartTopology& cart) {
-  if (cart.comm().size() == 1) {
-    grid.fold_ghosts_periodic();
-    return;
-  }
-  auto& comm = cart.comm();
-  const int g = grid.ghost();
-  if (g == 0) return;
-  const int n[3] = {grid.nx(), grid.ny(), grid.nz()};
-
-  // Reverse order of the halo fill: fold z, then y, then x, shrinking the
-  // transverse range as we go so every ghost contribution lands exactly once.
-  for (int axis = 2; axis >= 0; --axis) {
-    Range r[3];
-    for (int t = 0; t < 3; ++t)
-      r[t] = t < axis ? Range{-g, n[t] + g} : Range{0, n[t]};
-    int ta = -1, tb = -1;
-    for (int t = 0; t < 3; ++t) {
-      if (t == axis) continue;
-      (ta < 0 ? ta : tb) = t;
-    }
-    auto at = [&](int a, int b, int c) -> double& {
-      int idx[3];
-      idx[axis] = a;
-      int tpos = 0;
-      for (int t = 0; t < 3; ++t) {
-        if (t == axis) continue;
-        idx[t] = tpos == 0 ? b : c;
-        ++tpos;
-      }
-      return grid.at(idx[0], idx[1], idx[2]);
-    };
-    if (cart.dims()[static_cast<std::size_t>(axis)] == 1) {
-      // Undecomposed axis: fold ghosts onto their periodic interior image
-      // locally (modulo wrap handles extents below the ghost width).
-      for (int a = -g; a < n[axis] + g; ++a) {
-        if (a >= 0 && a < n[axis]) continue;
-        const int dst = wrap(a, n[axis]);
-        for (int b = r[ta].lo; b < r[ta].hi; ++b)
-          for (int c = r[tb].lo; c < r[tb].hi; ++c) {
-            at(dst, b, c) += at(a, b, c);
-            at(a, b, c) = 0.0;
-          }
-      }
-      continue;
-    }
-    require_ghost_fits("fold_grid_halo", axis, n[axis], g,
-                       cart.dims()[static_cast<std::size_t>(axis)]);
-    const auto nbr = cart.neighbors(axis);
-    thread_local std::vector<double> send_hi, send_lo, recv_buf;
-    auto pack = [&](int lo, std::vector<double>& buf) {
-      buf.clear();
-      buf.reserve(static_cast<std::size_t>(g) * r[ta].count() *
-                  r[tb].count());
-      for (int a = lo; a < lo + g; ++a)
-        for (int b = r[ta].lo; b < r[ta].hi; ++b)
-          for (int c = r[tb].lo; c < r[tb].hi; ++c) {
-            buf.push_back(at(a, b, c));
-            at(a, b, c) = 0.0;
-          }
-    };
-    auto add = [&](int lo, int count, const std::vector<double>& buf) {
-      std::size_t o = 0;
-      for (int a = lo; a < lo + count; ++a)
-        for (int b = r[ta].lo; b < r[ta].hi; ++b)
-          for (int c = r[tb].lo; c < r[tb].hi; ++c) at(a, b, c) += buf[o++];
-    };
-    const int tag_fwd = kFoldTagBase + axis * 4;
-    const int tag_bwd = kFoldTagBase + axis * 4 + 1;
-    // Our high ghosts belong to the forward neighbor's low interior.
-    pack(n[axis], send_hi);
-    comm.send(nbr[1], tag_fwd, send_hi.data(), send_hi.size());
-    pack(-g, send_lo);
-    comm.send(nbr[0], tag_bwd, send_lo.data(), send_lo.size());
-    recv_buf.resize(send_hi.size());
-    comm.recv(nbr[0], tag_fwd, recv_buf.data(), recv_buf.size());
-    add(0, g, recv_buf);
-    recv_buf.resize(send_lo.size());
-    comm.recv(nbr[1], tag_bwd, recv_buf.data(), recv_buf.size());
-    add(n[axis] - g, g, recv_buf);
-  }
 }
 
 }  // namespace v6d::mesh

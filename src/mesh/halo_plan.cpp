@@ -112,7 +112,7 @@ void HaloPlan::unpack_face(vlasov::PhaseSpace& f, int axis, int lo,
 
 void HaloPlan::wrap_axis(vlasov::PhaseSpace& f, int axis) const {
   // Whole axis on this rank: the ghosts are the local periodic image (the
-  // modulo handles extents below the ghost width, as in halo.cpp).
+  // modulo handles extents below the ghost width).
   const auto& ap = axes_[static_cast<std::size_t>(axis)];
   const std::size_t bytes = block_ * sizeof(float);
   for (int a = -ghost_; a < ap.n + ghost_; ++a) {
@@ -209,7 +209,7 @@ struct FoldRange {
 
 // Transverse ranges of `axis` in the fold order (z, then y, then x): axes
 // *below* the current one still carry live ghost contributions and must be
-// included; higher axes are already folded.  Mirrors fold_grid_halo.
+// included; higher axes are already folded.
 inline void fold_ranges(const Grid3D<double>& grid, int axis, FoldRange r[3]) {
   const int g = grid.ghost();
   const int n[3] = {grid.nx(), grid.ny(), grid.nz()};
@@ -323,8 +323,8 @@ void GridFoldPlan::begin(Grid3D<double>& grid) {
   trace::Span span("fold-begin");
   pending_axis_ = -1;
   if (cart_->comm().size() == 1) {
-    // Bit-identical to the blocking path: the single-rank fold is the
-    // direct periodic scan, not the axis-by-axis chain.
+    // The single-rank fold is the direct periodic scan, not the
+    // axis-by-axis chain.
     grid.fold_ghosts_periodic();
     return;
   }

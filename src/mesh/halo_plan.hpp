@@ -1,12 +1,12 @@
-// Precomputed plans + persistent buffers for the *overlapped* halo
-// exchanges of the distributed stepping path (paper §5.1.3: halo exchange
-// is the dominant non-compute cost; hiding it behind interior updates is
-// what makes the Fugaku runs scale).
+// Precomputed plans + persistent buffers for the phase-space halo and the
+// deposit fold of the distributed stepping path (paper §5.1.3: halo
+// exchange is the dominant non-compute cost; hiding it behind interior
+// updates is what makes the Fugaku runs scale).
 //
-// mesh/halo.hpp keeps the blocking reference exchanges; the plans here
-// restructure the same data movement into begin/finish halves so the
-// caller can advect interior cells (or accumulate local density) while the
-// face messages are in flight:
+// Each exchange is split into begin/finish halves so the caller can advect
+// interior cells (or accumulate local density) while the face messages
+// are in flight; a synchronous exchange is a begin followed at once by its
+// finish:
 //
 //  * HaloPlan — split single-axis phase-space exchange.  A position sweep
 //    along axis a reads only that axis' ghost blocks at interior
@@ -21,8 +21,10 @@
 //    axis z down through any local-wrap axes and stops after posting the
 //    sends of the first decomposed axis; finish() completes that axis and
 //    runs the remaining ones.  The per-axis operations and summation
-//    order are exactly fold_grid_halo's, so the folded field is
-//    bit-identical to the blocking path.
+//    order do not depend on what runs between the halves, so the folded
+//    field is bit-identical however late finish() is called, and equals
+//    the global periodic fold (Grid3D::fold_ghosts_periodic) of the
+//    assembled deposits wherever the sum is exact.
 //
 // Both plans accumulate the time spent *blocked* waiting for messages
 // (take_wait()), which is the exposed communication cost the overlap
@@ -50,8 +52,8 @@ class HaloPlan {
   /// Plan the single-axis face exchanges for bricks of shape `dims` on
   /// `cart`.  `tag_base` must be distinct from every other exchange kind
   /// live on the same communicator.  Throws std::invalid_argument if a
-  /// decomposed axis is thinner than the ghost width (same rule as
-  /// exchange_phase_space_halo).
+  /// decomposed axis is thinner than the ghost width (its faces would
+  /// read ghost cells).
   HaloPlan(comm::CartTopology& cart, const vlasov::PhaseSpaceDims& dims,
            int tag_base);
 
@@ -115,8 +117,8 @@ class GridFoldPlan {
   /// touch `grid` until finish().
   void begin(Grid3D<double>& grid);
   /// Complete the posted axis and fold the remaining ones (blocking, with
-  /// persistent buffers).  begin()/finish() together perform exactly
-  /// fold_grid_halo's operations in the same order.
+  /// persistent buffers).  No-op when no fold is pending, so a fold
+  /// already finished right after begin() may be finished again.
   void finish(Grid3D<double>& grid);
 
   double take_wait() {

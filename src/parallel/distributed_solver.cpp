@@ -18,9 +18,9 @@ namespace v6d::parallel {
 
 namespace {
 
-// Message-tag bases of the overlapped exchanges; distinct from each other
-// and from the blocking exchanges in mesh/halo.cpp (100/150/200), so an
-// in-flight overlapped message can never be claimed by a blocking call.
+// Message-tag bases of the exchange plans; distinct from each other and
+// from mesh::exchange_grid_halo's (150..161), so a message of one exchange
+// can never be claimed by another that is in flight at the same time.
 constexpr int kPsHaloTagBase = 300;   // phase-space faces (axis*4 + dir)
 constexpr int kFoldCdmTagBase = 340;  // CDM density fold
 constexpr int kFoldNuTagBase = 360;   // neutrino density fold
@@ -123,8 +123,7 @@ DistributedHybridSolver::DistributedHybridSolver(
     ps_plan_ = mesh::HaloPlan(cart_, f_.dims(), kPsHaloTagBase);
   }
 
-  // Overlap plans (constructed unconditionally: cheap, and the sync path
-  // never touches them).
+  // Exchange plans (both schedules run them).
   fold_cdm_ = mesh::GridFoldPlan(cart_, kFoldCdmTagBase);
   fold_nu_ = mesh::GridFoldPlan(cart_, kFoldNuTagBase);
   slab_cdm_x_ = SlabExchange(pm_dec_, pfft_, cart_, kSlabCdmTagBase);
@@ -135,13 +134,6 @@ DistributedHybridSolver::DistributedHybridSolver(
   // seam (resume path): recomputing it would only match to rounding.
   const auto sf = global.export_step_forces();
   if (sf.fresh) import_step_forces_global(sf);
-}
-
-vlasov::HaloFiller DistributedHybridSolver::halo_filler() {
-  return [this](vlasov::PhaseSpace& f) {
-    ScopedTimer t(timers_, "halo");
-    mesh::exchange_phase_space_halo(f, cart_);
-  };
 }
 
 bool DistributedHybridSolver::owns_particle(std::size_t i) const {
@@ -183,11 +175,6 @@ void DistributedHybridSolver::deposit_cdm_local() {
                 mesh::Assignment::kCic);
 }
 
-void DistributedHybridSolver::deposit_cdm_density() {
-  deposit_cdm_local();
-  mesh::fold_grid_halo(rho_cdm_, cart_);
-}
-
 void DistributedHybridSolver::compute_nu_moment() {
   // 0th moment of the local brick (heavy: reduces the full velocity cube
   // per spatial cell — the overlap partner of the CDM ghost fold).
@@ -216,12 +203,6 @@ void DistributedHybridSolver::inject_nu_density() {
       }
 }
 
-void DistributedHybridSolver::deposit_nu_density() {
-  compute_nu_moment();
-  inject_nu_density();
-  mesh::fold_grid_halo(rho_nu_, cart_);
-}
-
 void DistributedHybridSolver::prepare_green_tables(
     const gravity::PoissonOptions& cdm_long,
     const gravity::PoissonOptions& cdm_short,
@@ -229,8 +210,8 @@ void DistributedHybridSolver::prepare_green_tables(
   // Per-mode Green x window multipliers in for_each_mode order.  The
   // tables hold exactly the doubles the inline evaluation would produce,
   // so using them changes nothing numerically — it only moves the
-  // transcendental-heavy loop off the communication's critical path (the
-  // overlapped mode computes them while the brick -> slab messages fly).
+  // transcendental-heavy loop off the communication's critical path (they
+  // are computed while the brick -> slab messages fly).
   const int n = options_.pm_grid;
   const int lny = pfft_.local_ny();
   const std::size_t modes = static_cast<std::size_t>(lny) * n * n;
@@ -278,95 +259,69 @@ void DistributedHybridSolver::compute_forces(double a) {
   nu_opts.prefactor = prefactor;
   nu_opts.deconvolve_order = 0;
 
-  // --- densities (deposit + ghost fold) ---
-  if (!overlap_) {
+  // --- densities (deposit + ghost fold), bricks -> x-slabs ---
+  // Every exchange is begun as soon as its input is ready and finished
+  // where its output is needed.  Without overlap each finish also runs
+  // right after its begin, which makes the later one a no-op.
+  //
+  // The CDM ghost-fold sends fly while the (heavy, local) Vlasov moment
+  // accumulates.
+  {
+    ScopedTimer t(timers_, "pm");
+    deposit_cdm_local();
+    fold_cdm_.begin(rho_cdm_);
+    if (!overlap_) fold_cdm_.finish(rho_cdm_);
+  }
+  if (has_nu_) {
+    ScopedTimer t(timers_, "vlasov-moments");
+    compute_nu_moment();
+  }
+  {
+    ScopedTimer t(timers_, "pm");
+    fold_cdm_.finish(rho_cdm_);
+  }
+  if (has_nu_) {
     {
-      ScopedTimer t(timers_, "pm");
-      deposit_cdm_density();
-    }
-    if (has_nu_) {
       ScopedTimer t(timers_, "vlasov-moments");
-      deposit_nu_density();
+      inject_nu_density();
     }
-    {
-      ScopedTimer t(timers_, "pm");
-      prepare_green_tables(cdm_long, cdm_opts, nu_opts);
-    }
-  } else {
-    // Post the CDM ghost-fold sends, accumulate the (heavy, local) Vlasov
-    // moment while they fly, then complete the fold.
-    {
-      ScopedTimer t(timers_, "pm");
-      deposit_cdm_local();
-      fold_cdm_.begin(rho_cdm_);
-    }
-    if (has_nu_) {
-      ScopedTimer t(timers_, "vlasov-moments");
-      compute_nu_moment();
-    }
-    {
-      ScopedTimer t(timers_, "pm");
-      fold_cdm_.finish(rho_cdm_);
-    }
-    if (has_nu_) {
-      {
-        ScopedTimer t(timers_, "vlasov-moments");
-        inject_nu_density();
-      }
-      ScopedTimer t(timers_, "pm");
-      fold_nu_.begin(rho_nu_);
-    }
+    ScopedTimer t(timers_, "pm");
+    fold_nu_.begin(rho_nu_);
+    if (!overlap_) fold_nu_.finish(rho_nu_);
   }
 
   {
     ScopedTimer t(timers_, "pm");
-    // Bricks -> x-slabs, then the distributed forward transforms.
-    std::vector<fft::cplx>* slab_cdm = nullptr;
+    // The CDM redistribution (and the still-flying nu fold) overlap the
+    // Green-function tables; the nu redistribution overlaps the CDM
+    // forward transform.
+    slab_cdm_x_.begin_to_slab(rho_cdm_);
+    if (!overlap_) slab_cdm_x_.finish_to_slab();
+    prepare_green_tables(cdm_long, cdm_opts, nu_opts);
+    if (has_nu_) {
+      fold_nu_.finish(rho_nu_);
+      slab_nu_x_.begin_to_slab(rho_nu_);
+      if (!overlap_) slab_nu_x_.finish_to_slab();
+    }
+    std::vector<fft::cplx>* slab_cdm = &slab_cdm_x_.finish_to_slab();
+    {
+      trace::Span fft_span("fft-forward");
+      pfft_.forward(*slab_cdm);
+    }
     std::vector<fft::cplx>* slab_nu = nullptr;
-    if (!overlap_) {
-      slab_cdm_sync_ = brick_to_slab(rho_cdm_, pm_dec_, pfft_, cart_);
-      {
-        trace::Span fft_span("fft-forward");
-        pfft_.forward(slab_cdm_sync_);
-      }
-      slab_cdm = &slab_cdm_sync_;
-      if (has_nu_) {
-        slab_nu_sync_ = brick_to_slab(rho_nu_, pm_dec_, pfft_, cart_);
-        {
-          trace::Span fft_span("fft-forward");
-          pfft_.forward(slab_nu_sync_);
-        }
-        slab_nu = &slab_nu_sync_;
-      }
-    } else {
-      // The CDM redistribution (and the still-flying nu fold) overlap the
-      // Green-function tables; the nu redistribution overlaps the CDM
-      // forward transform.
-      slab_cdm_x_.begin_to_slab(rho_cdm_);
-      prepare_green_tables(cdm_long, cdm_opts, nu_opts);
-      if (has_nu_) {
-        fold_nu_.finish(rho_nu_);
-        slab_nu_x_.begin_to_slab(rho_nu_);
-      }
-      slab_cdm = &slab_cdm_x_.finish_to_slab();
-      {
-        trace::Span fft_span("fft-forward");
-        pfft_.forward(*slab_cdm);
-      }
-      if (has_nu_) {
-        slab_nu = &slab_nu_x_.finish_to_slab();
-        trace::Span fft_span("fft-forward");
-        pfft_.forward(*slab_nu);
-      }
+    if (has_nu_) {
+      slab_nu = &slab_nu_x_.finish_to_slab();
+      trace::Span fft_span("fft-forward");
+      pfft_.forward(*slab_nu);
     }
 
     // One force set = the combined potential of both species under the
     // given CDM green table, differentiated spectrally (-i k_d) and
     // brought back to brick layout per component.  phi_k is evaluated once
     // per mode (as in the serial PoissonSolver::solve_forces); only the
-    // cheap -i k_d multiply runs per direction.  In overlapped mode each
-    // component's slab -> brick return flies during the next component's
-    // spectral multiply + inverse FFT.
+    // cheap -i k_d multiply runs per direction.  Each component's slab ->
+    // brick return flies during the next component's spectral multiply +
+    // inverse FFT.
     auto solve_set = [&](const std::vector<double>& green,
                          mesh::Grid3D<double>& gx, mesh::Grid3D<double>& gy,
                          mesh::Grid3D<double>& gz) {
@@ -379,6 +334,11 @@ void DistributedHybridSolver::compute_forces(double a) {
         ++m;
       });
       mesh::Grid3D<double>* outs[3] = {&gx, &gy, &gz};
+      // Complete component d's slab -> brick return, then its ghosts.
+      const auto land = [&](int d) {
+        slab_out_.finish_to_brick(*outs[d]);
+        mesh::exchange_grid_halo(*outs[d], cart_);
+      };
       for (int d = 0; d < 3; ++d) {
         spec_.resize(phi_.size());
         m = 0;
@@ -392,24 +352,11 @@ void DistributedHybridSolver::compute_forces(double a) {
           trace::Span fft_span("fft-inverse");
           pfft_.inverse_normalized(spec_);
         }
-        if (!overlap_) {
-          slab_to_brick(spec_, pfft_, pm_dec_, cart_, *outs[d]);
-        } else {
-          if (d > 0) {
-            slab_out_.finish_to_brick(*outs[d - 1]);
-            mesh::exchange_grid_halo(*outs[d - 1], cart_);
-          }
-          slab_out_.begin_to_brick(spec_);
-        }
+        if (d > 0) land(d - 1);
+        slab_out_.begin_to_brick(spec_);
+        if (!overlap_) slab_out_.finish_to_brick(*outs[d]);
       }
-      if (!overlap_) {
-        mesh::exchange_grid_halo(gx, cart_);
-        mesh::exchange_grid_halo(gy, cart_);
-        mesh::exchange_grid_halo(gz, cart_);
-      } else {
-        slab_out_.finish_to_brick(*outs[2]);
-        mesh::exchange_grid_halo(*outs[2], cart_);
-      }
+      land(2);
     };
     solve_set(green_long_, gx_cdm_, gy_cdm_, gz_cdm_);
     solve_set(green_short_, gx_nu_, gy_nu_, gz_nu_);
@@ -451,12 +398,9 @@ void DistributedHybridSolver::compute_forces(double a) {
           }
     }
   }
-  if (overlap_) {
-    timers_.add("fold-wait", fold_cdm_.take_wait() + fold_nu_.take_wait());
-    timers_.add("slab-wait", slab_cdm_x_.take_wait() +
-                                 slab_nu_x_.take_wait() +
-                                 slab_out_.take_wait());
-  }
+  timers_.add("fold-wait", fold_cdm_.take_wait() + fold_nu_.take_wait());
+  timers_.add("slab-wait", slab_cdm_x_.take_wait() + slab_nu_x_.take_wait() +
+                               slab_out_.take_wait());
 
   // --- tree short-range: replicated over the replicated particle set,
   //     identical on every rank (the serial solver's exact block) ---
@@ -470,20 +414,13 @@ void DistributedHybridSolver::compute_forces(double a) {
 
 void DistributedHybridSolver::drift(double drift_factor) {
   if (drift_factor == 0.0) return;
-  if (!overlap_) {
-    // Synchronous reference: full (3-axis, transitively extended) halo
-    // refill before every axis sweep.
-    vlasov::drift_full(f_, drift_factor, options_.kernel, halo_filler());
-    return;
-  }
-  // Overlapped pipeline, same operator sequence and subcycling as
-  // vlasov::drift_full: per axis, post the single-axis face exchange,
-  // advect the ghost-independent interior while the messages fly, then
-  // complete the exchange and sweep the two boundary shells from their
-  // pre-sweep windows.  Bit-identical to the reference because a position
-  // sweep along an axis reads only that axis' ghosts at interior
-  // transverse positions, and every restricted range sees the same
-  // stencil values as the full-line sweep.
+  // Same operator sequence and subcycling as vlasov::drift_full: per axis,
+  // post the single-axis face exchange, advect the ghost-independent
+  // interior while the messages fly, then complete the exchange and sweep
+  // the two boundary shells from their pre-sweep windows.  Bit-identical
+  // to a serial drift_full because a position sweep along an axis reads
+  // only that axis' ghosts at interior transverse positions, and every
+  // restricted range sees the same stencil values as the full-line sweep.
   const double max_shift = vlasov::max_position_shift(f_, drift_factor);
   const int cycles =
       std::max(1, static_cast<int>(std::ceil(max_shift / 0.999)));
@@ -493,9 +430,9 @@ void DistributedHybridSolver::drift(double drift_factor) {
     const auto& ap = ps_plan_.axis(axis);
     for (int c = 0; c < cycles; ++c) {
       if (!ap.split || !split_sweeps_) {
-        // Undecomposed (local wrap), thinner than 2*ghost, or the split
-        // heuristic disengaged: run the lean exchange blocking, then the
-        // full-line sweep.  Timed under its own bucket so the
+        // Undecomposed (local wrap), thinner than 2*ghost, no overlap, or
+        // the split heuristic disengaged: complete the exchange at once,
+        // then the full-line sweep.  Timed under its own bucket so the
         // interior/boundary metrics always describe the split pipeline
         // alone.
         {
@@ -650,7 +587,6 @@ void DistributedHybridSolver::gather_into(hybrid::HybridSolver& global,
     // [6 x int32 placement header][blocks in i,j,k order] — and let rank 0
     // place them by the sender's own offsets (mirrors the shard-resume
     // placement logic, so the two paths agree on layout).
-    constexpr int kGatherTag = 0x6a7;
     const std::size_t block_floats = f_.block_size();
     const auto pack = [&](std::vector<std::uint8_t>& buf) {
       const std::int32_t header[6] = {dec_.offset(0), dec_.offset(1),
@@ -678,12 +614,21 @@ void DistributedHybridSolver::gather_into(hybrid::HybridSolver& global,
             std::memcpy(gf.block(dec_.offset(0) + i, dec_.offset(1) + j,
                                  dec_.offset(2) + k),
                         f_.block(i, j, k), bytes);
+      const int global_n[3] = {gf.dims().nx, gf.dims().ny, gf.dims().nz};
       for (int r = 1; r < comm_.size(); ++r) {
         const auto buf = comm_.recv_bytes(r, kGatherTag);
         std::int32_t header[6];
         if (buf.size() < sizeof(header))
           throw std::runtime_error("gather_into: truncated brick message");
         std::memcpy(header, buf.data(), sizeof(header));
+        // PhaseSpace::block does no bounds check: a peer started with
+        // another decomposition (or a corrupt frame) must not place its
+        // brick outside the global grid.
+        for (int a = 0; a < 3; ++a)
+          if (header[a] < 0 || header[3 + a] < 0 ||
+              header[3 + a] > global_n[a] - header[a])
+            throw std::runtime_error("gather_into: brick placement header "
+                                     "lies outside the global grid");
         std::size_t at = sizeof(header);
         if (buf.size() != sizeof(header) +
                               static_cast<std::size_t>(header[3]) *

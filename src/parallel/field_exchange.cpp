@@ -40,122 +40,6 @@ void slab_of(int rank, int n, int nranks, int& offset, int& count) {
 
 }  // namespace
 
-std::vector<fft::cplx> brick_to_slab(const mesh::Grid3D<double>& brick,
-                                     const mesh::BrickDecomposition& dec,
-                                     const fft::ParallelFft3D& pfft,
-                                     comm::CartTopology& cart) {
-  auto& comm = cart.comm();
-  const int p = comm.size();
-  const int n = pfft.n();
-  const BrickOf mine = brick_of(comm.rank(), dec, cart);
-
-  // Pack, for every destination rank, my brick rows whose global x index
-  // falls in that rank's slab: x ascending, then y, then z (contiguous).
-  std::vector<std::vector<std::uint8_t>> send(static_cast<std::size_t>(p));
-  for (int d = 0; d < p; ++d) {
-    int so = 0, sn = 0;
-    slab_of(d, n, p, so, sn);
-    const int x0 = std::max(mine.lo[0], so);
-    const int x1 = std::min(mine.lo[0] + mine.n[0], so + sn);
-    if (x0 >= x1) continue;
-    auto& buf = send[static_cast<std::size_t>(d)];
-    buf.resize(static_cast<std::size_t>(x1 - x0) * mine.n[1] * mine.n[2] *
-               sizeof(double));
-    std::size_t o = 0;
-    for (int gx = x0; gx < x1; ++gx)
-      for (int ly = 0; ly < mine.n[1]; ++ly)
-        for (int lz = 0; lz < mine.n[2]; ++lz) {
-          const double v = brick.at(gx - mine.lo[0], ly, lz);
-          std::memcpy(buf.data() + o, &v, sizeof(double));
-          o += sizeof(double);
-        }
-  }
-  const auto recv = comm.alltoallv(send);
-
-  // Unpack every source rank's footprint into my slab.
-  int my_so = 0, my_sn = 0;
-  slab_of(comm.rank(), n, p, my_so, my_sn);
-  std::vector<fft::cplx> slab(static_cast<std::size_t>(my_sn) * n * n,
-                              fft::cplx(0.0, 0.0));
-  for (int r = 0; r < p; ++r) {
-    const auto& buf = recv[static_cast<std::size_t>(r)];
-    if (buf.empty()) continue;
-    const BrickOf src = brick_of(r, dec, cart);
-    const int x0 = std::max(src.lo[0], my_so);
-    const int x1 = std::min(src.lo[0] + src.n[0], my_so + my_sn);
-    std::size_t o = 0;
-    for (int gx = x0; gx < x1; ++gx)
-      for (int ly = 0; ly < src.n[1]; ++ly)
-        for (int lz = 0; lz < src.n[2]; ++lz) {
-          double v = 0.0;
-          std::memcpy(&v, buf.data() + o, sizeof(double));
-          o += sizeof(double);
-          slab[(static_cast<std::size_t>(gx - my_so) * n +
-                (src.lo[1] + ly)) *
-                   n +
-               (src.lo[2] + lz)] = fft::cplx(v, 0.0);
-        }
-  }
-  return slab;
-}
-
-void slab_to_brick(const std::vector<fft::cplx>& slab,
-                   const fft::ParallelFft3D& pfft,
-                   const mesh::BrickDecomposition& dec,
-                   comm::CartTopology& cart, mesh::Grid3D<double>& brick) {
-  auto& comm = cart.comm();
-  const int p = comm.size();
-  const int n = pfft.n();
-  int my_so = 0, my_sn = 0;
-  slab_of(comm.rank(), n, p, my_so, my_sn);
-
-  // Pack, for every destination brick, the slab rows it covers restricted
-  // to its (y, z) footprint.
-  std::vector<std::vector<std::uint8_t>> send(static_cast<std::size_t>(p));
-  for (int d = 0; d < p; ++d) {
-    const BrickOf dst = brick_of(d, dec, cart);
-    const int x0 = std::max(dst.lo[0], my_so);
-    const int x1 = std::min(dst.lo[0] + dst.n[0], my_so + my_sn);
-    if (x0 >= x1) continue;
-    auto& buf = send[static_cast<std::size_t>(d)];
-    buf.resize(static_cast<std::size_t>(x1 - x0) * dst.n[1] * dst.n[2] *
-               sizeof(double));
-    std::size_t o = 0;
-    for (int gx = x0; gx < x1; ++gx)
-      for (int ly = 0; ly < dst.n[1]; ++ly)
-        for (int lz = 0; lz < dst.n[2]; ++lz) {
-          const double v =
-              slab[(static_cast<std::size_t>(gx - my_so) * n +
-                    (dst.lo[1] + ly)) *
-                       n +
-                   (dst.lo[2] + lz)]
-                  .real();
-          std::memcpy(buf.data() + o, &v, sizeof(double));
-          o += sizeof(double);
-        }
-  }
-  const auto recv = comm.alltoallv(send);
-
-  const BrickOf mine = brick_of(comm.rank(), dec, cart);
-  for (int r = 0; r < p; ++r) {
-    const auto& buf = recv[static_cast<std::size_t>(r)];
-    if (buf.empty()) continue;
-    int so = 0, sn = 0;
-    slab_of(r, n, p, so, sn);
-    const int x0 = std::max(mine.lo[0], so);
-    const int x1 = std::min(mine.lo[0] + mine.n[0], so + sn);
-    std::size_t o = 0;
-    for (int gx = x0; gx < x1; ++gx)
-      for (int ly = 0; ly < mine.n[1]; ++ly)
-        for (int lz = 0; lz < mine.n[2]; ++lz) {
-          double v = 0.0;
-          std::memcpy(&v, buf.data() + o, sizeof(double));
-          o += sizeof(double);
-          brick.at(gx - mine.lo[0], ly, lz) = v;
-        }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // SlabExchange — split p2p redistribution with precomputed footprints
 // ---------------------------------------------------------------------------
@@ -223,6 +107,7 @@ void SlabExchange::begin_to_slab(const mesh::Grid3D<double>& brick) {
 }
 
 std::vector<fft::cplx>& SlabExchange::finish_to_slab() {
+  if (pending_.empty()) return slab_;  // already finished
   trace::Span span("slab-finish");
   const int n = pfft_->n();
   for (std::size_t s = 0; s < slab_rows_.size(); ++s) {
@@ -244,6 +129,7 @@ std::vector<fft::cplx>& SlabExchange::finish_to_slab() {
                     n +
                 (fp.lo2 + lz)] = fft::cplx(recv_buf_[o++], 0.0);
   }
+  pending_.clear();
   return slab_;
 }
 
@@ -272,6 +158,7 @@ void SlabExchange::begin_to_brick(const std::vector<fft::cplx>& slab) {
 }
 
 void SlabExchange::finish_to_brick(mesh::Grid3D<double>& brick) {
+  if (pending_.empty()) return;  // already finished
   trace::Span span("slab-finish");
   for (std::size_t s = 0; s < brick_rows_.size(); ++s) {
     const auto& fp = brick_rows_[s];
@@ -291,6 +178,7 @@ void SlabExchange::finish_to_brick(mesh::Grid3D<double>& brick) {
         std::memcpy(&brick.at(gx - my_lo_[0], ly, 0), recv_buf_.data() + o,
                     row);
   }
+  pending_.clear();
 }
 
 void allgather_bricks(const mesh::Grid3D<double>& brick,

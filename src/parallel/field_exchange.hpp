@@ -3,7 +3,7 @@
 //
 // The PM density is deposited into per-rank bricks (matching the Vlasov
 // decomposition, paper §5.1.3) but the parallel FFT wants contiguous
-// x-slabs; these helpers move interiors between the two layouts with one
+// x-slabs; SlabExchange moves interiors between the two layouts with one
 // personalized all-to-all each way — the same communication shape as the
 // paper's "slab redistribution before the SSL II FFT".
 #pragma once
@@ -17,22 +17,6 @@
 
 namespace v6d::parallel {
 
-/// Redistribute the interior of a brick-decomposed scalar field into this
-/// rank's x-slab of the parallel FFT (complex [x_local][y][z] layout,
-/// z contiguous).  `dec` describes the local brick of the cubic
-/// pfft.n()^3 mesh; every rank must call collectively.
-std::vector<fft::cplx> brick_to_slab(const mesh::Grid3D<double>& brick,
-                                     const mesh::BrickDecomposition& dec,
-                                     const fft::ParallelFft3D& pfft,
-                                     comm::CartTopology& cart);
-
-/// Inverse redistribution: scatter the real parts of this rank's x-slab
-/// back into the brick interiors (ghosts untouched).
-void slab_to_brick(const std::vector<fft::cplx>& slab,
-                   const fft::ParallelFft3D& pfft,
-                   const mesh::BrickDecomposition& dec,
-                   comm::CartTopology& cart, mesh::Grid3D<double>& brick);
-
 /// Assemble the full global field from disjoint brick interiors on every
 /// rank (allreduce of a zero-padded global grid).  Used by diagnostics and
 /// the checkpoint force gather; `global` must be pre-sized to the global
@@ -43,16 +27,17 @@ void allgather_bricks(const mesh::Grid3D<double>& brick,
 
 /// Split (overlappable) brick <-> x-slab redistribution.
 ///
-/// The blocking helpers above run one barrier-synchronized alltoallv; this
-/// plan moves the same bytes through buffered point-to-point sends so the
-/// caller can compute (Green-function tables, the next spectral component)
-/// while messages are in flight.  Footprint intersections are precomputed
-/// at construction and pack buffers persist, so steady-state begin/finish
-/// pairs allocate nothing.  Pack/unpack loop orders match the blocking
-/// versions, making the redistributed fields bit-identical.
+/// The plan moves every brick ∩ slab footprint through buffered
+/// point-to-point sends so the caller can compute (Green-function tables,
+/// the next spectral component) while messages are in flight, or finish
+/// at once for a synchronous exchange.  Footprint intersections are
+/// precomputed at construction and pack buffers persist, so steady-state
+/// begin/finish pairs allocate nothing.
 ///
 /// Only one exchange (either direction) may be in flight per instance;
 /// distinct instances on the same communicator need distinct `tag_base`s.
+/// A finish with no exchange in flight is a no-op (finish_to_slab then
+/// returns the slab of the last exchange).
 class SlabExchange {
  public:
   SlabExchange() = default;

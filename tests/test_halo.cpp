@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <ostream>
+#include <string>
 #include <stdexcept>
 
 #include "comm/runner.hpp"
 #include "mesh/decomposition.hpp"
 #include "mesh/halo.hpp"
 #include "mesh/halo_plan.hpp"
+#include "vlasov/phase_space.hpp"
 
 namespace {
 
@@ -19,50 +24,6 @@ float cell_value(int gx, int gy, int gz, std::size_t v) {
 }
 
 class HaloRanks : public ::testing::TestWithParam<int> {};
-
-TEST_P(HaloRanks, PhaseSpaceHaloMatchesGlobalPeriodicField) {
-  const int p = GetParam();
-  const int n_global = 8;
-  const int nu = 2;
-  comm::run(p, [&](comm::Communicator& comm) {
-    comm::CartTopology cart(comm, comm::CartTopology::choose_dims(p));
-    mesh::BrickDecomposition dec({n_global, n_global, n_global}, cart.dims(),
-                                 cart.coords());
-    vlasov::PhaseSpaceDims dims;
-    dims.nx = dec.local_n(0);
-    dims.ny = dec.local_n(1);
-    dims.nz = dec.local_n(2);
-    dims.nux = dims.nuy = dims.nuz = nu;
-    vlasov::PhaseSpaceGeometry geom;
-    vlasov::PhaseSpace f(dims, geom);
-
-    for (int i = 0; i < dims.nx; ++i)
-      for (int j = 0; j < dims.ny; ++j)
-        for (int k = 0; k < dims.nz; ++k) {
-          float* blk = f.block(i, j, k);
-          for (std::size_t v = 0; v < f.block_size(); ++v)
-            blk[v] = cell_value(dec.offset(0) + i, dec.offset(1) + j,
-                                dec.offset(2) + k, v);
-        }
-
-    mesh::exchange_phase_space_halo(f, cart);
-
-    const int g = dims.ghost;
-    auto wrap = [&](int i) { return ((i % n_global) + n_global) % n_global; };
-    for (int i = -g; i < dims.nx + g; ++i)
-      for (int j = -g; j < dims.ny + g; ++j)
-        for (int k = -g; k < dims.nz + g; ++k) {
-          const float* blk = f.block(i, j, k);
-          const int gx = wrap(dec.offset(0) + i);
-          const int gy = wrap(dec.offset(1) + j);
-          const int gz = wrap(dec.offset(2) + k);
-          for (std::size_t v = 0; v < f.block_size(); ++v)
-            ASSERT_FLOAT_EQ(blk[v], cell_value(gx, gy, gz, v))
-                << "rank " << comm.rank() << " cell " << i << "," << j << ","
-                << k;
-        }
-  });
-}
 
 TEST_P(HaloRanks, GridHaloMatchesGlobalField) {
   const int p = GetParam();
@@ -91,78 +52,12 @@ TEST_P(HaloRanks, GridHaloMatchesGlobalField) {
   });
 }
 
-TEST_P(HaloRanks, FoldHaloAccumulatesDepositsOnce) {
-  const int p = GetParam();
-  const int n_global = 8;
-  comm::run(p, [&](comm::Communicator& comm) {
-    comm::CartTopology cart(comm, comm::CartTopology::choose_dims(p));
-    mesh::BrickDecomposition dec({n_global, n_global, n_global}, cart.dims(),
-                                 cart.coords());
-    mesh::Grid3D<double> grid(dec.local_n(0), dec.local_n(1), dec.local_n(2),
-                              1);
-    // Every rank deposits 1.0 into *every* cell of its extended region
-    // (interior + ghosts).  After folding, each interior cell must hold
-    // exactly the number of extended regions that cover its global index.
-    for (int i = -1; i < grid.nx() + 1; ++i)
-      for (int j = -1; j < grid.ny() + 1; ++j)
-        for (int k = -1; k < grid.nz() + 1; ++k) grid.at(i, j, k) = 1.0;
-    mesh::fold_grid_halo(grid, cart);
-
-    // Each global cell collects one contribution per covering *image* of
-    // every rank's extended region (interior + 1-cell ghost ring); with
-    // few ranks per axis the same rank can cover a cell through multiple
-    // periodic images (e.g. single-rank axes fold their own ghosts back).
-    auto coverage = [&](int gx, int gy, int gz) {
-      int count = 0;
-      for (int cx = 0; cx < cart.dims()[0]; ++cx)
-        for (int cy = 0; cy < cart.dims()[1]; ++cy)
-          for (int cz = 0; cz < cart.dims()[2]; ++cz) {
-            mesh::BrickDecomposition d2(
-                {n_global, n_global, n_global}, cart.dims(), {cx, cy, cz});
-            auto images = [&](int g, int axis) {
-              int n_img = 0;
-              for (int img = -1; img <= 1; ++img) {
-                const int local = g + img * n_global - d2.offset(axis);
-                if (local >= -1 && local <= d2.local_n(axis)) ++n_img;
-              }
-              return n_img;
-            };
-            count += images(gx, 0) * images(gy, 1) * images(gz, 2);
-          }
-      return count;
-    };
-    for (int i = 0; i < grid.nx(); ++i)
-      for (int j = 0; j < grid.ny(); ++j)
-        for (int k = 0; k < grid.nz(); ++k) {
-          const int expected = coverage(dec.offset(0) + i, dec.offset(1) + j,
-                                        dec.offset(2) + k);
-          ASSERT_DOUBLE_EQ(grid.at(i, j, k), expected)
-              << i << " " << j << " " << k;
-        }
-  });
-}
-
 INSTANTIATE_TEST_SUITE_P(RankCounts, HaloRanks, ::testing::Values(1, 2, 4, 8));
 
 TEST(HaloValidation, RejectsDecomposedAxisThinnerThanGhost) {
-  // 4 cells split over 4 ranks -> local extent 1 < ghost 3: the pack would
-  // read out-of-range interior; the exchange must refuse instead.
-  EXPECT_THROW(
-      comm::run(4,
-                [&](comm::Communicator& comm) {
-                  comm::CartTopology cart(comm, {4, 1, 1});
-                  mesh::BrickDecomposition dec({4, 4, 4}, cart.dims(),
-                                               cart.coords());
-                  vlasov::PhaseSpaceDims dims;
-                  dims.nx = dec.local_n(0);
-                  dims.ny = dec.local_n(1);
-                  dims.nz = dec.local_n(2);
-                  dims.nux = dims.nuy = dims.nuz = 2;
-                  vlasov::PhaseSpace f(dims, vlasov::PhaseSpaceGeometry{});
-                  mesh::exchange_phase_space_halo(f, cart);
-                }),
-      std::invalid_argument);
-
+  // Local extent 1 < ghost 2 on a decomposed axis: the pack would read
+  // out-of-range interior; the exchange must refuse instead.  (The
+  // phase-space halo and the fold reject in their plans' tests below.)
   EXPECT_THROW(
       comm::run(4,
                 [&](comm::Communicator& comm) {
@@ -171,113 +66,132 @@ TEST(HaloValidation, RejectsDecomposedAxisThinnerThanGhost) {
                   mesh::exchange_grid_halo(grid, cart);
                 }),
       std::invalid_argument);
-
-  EXPECT_THROW(
-      comm::run(4,
-                [&](comm::Communicator& comm) {
-                  comm::CartTopology cart(comm, {4, 1, 1});
-                  mesh::Grid3D<double> grid(1, 8, 8, 2);
-                  mesh::fold_grid_halo(grid, cart);
-                }),
-      std::invalid_argument);
 }
 
-TEST(HaloValidation, UndecomposedAxisThinnerThanGhostWrapsPeriodically) {
-  // ny = nz = 2 with ghost 3 (the quasi-1D two_stream shape): the halo of
-  // the undecomposed axes must be the periodic wrap — a self-send of
-  // "interior slabs" would read out-of-range cells.
-  const int n_global = 8, thin = 2, nu = 2;
-  comm::run(2, [&](comm::Communicator& comm) {
-    comm::CartTopology cart(comm, {2, 1, 1});
-    mesh::BrickDecomposition dec({n_global, thin, thin}, cart.dims(),
-                                 cart.coords());
-    vlasov::PhaseSpaceDims dims;
+// ---------------------------------------------------------------------------
+// Exchange plans against the global periodic field
+// ---------------------------------------------------------------------------
+
+// One decomposed exchange setup: `ranks` ranks on a `cart` topology
+// ({0, 0, 0} = CartTopology::choose_dims) over an `n` global grid with
+// `ghost` ghost layers.
+struct BrickCase {
+  int ranks;
+  std::array<int, 3> cart;
+  std::array<int, 3> n;
+  int ghost;
+};
+
+std::array<int, 3> cart_dims(const BrickCase& c) {
+  return c.cart[0] > 0 ? c.cart : comm::CartTopology::choose_dims(c.ranks);
+}
+
+std::string describe(const BrickCase& c) {
+  const auto d = cart_dims(c);
+  return "ranks" + std::to_string(c.ranks) + "_" + std::to_string(d[0]) +
+         "x" + std::to_string(d[1]) + "x" + std::to_string(d[2]) + "_grid" +
+         std::to_string(c.n[0]) + "x" + std::to_string(c.n[1]) + "x" +
+         std::to_string(c.n[2]) + "_ghost" + std::to_string(c.ghost);
+}
+
+void PrintTo(const BrickCase& c, std::ostream* os) { *os << describe(c); }
+
+std::string case_name(const ::testing::TestParamInfo<BrickCase>& info) {
+  return describe(info.param);
+}
+
+// Global index of the local (possibly ghost) cell `idx`; it lies in
+// [-ghost, n + ghost), the global grid's own ghost range.
+std::array<int, 3> global_index(const mesh::BrickDecomposition& dec,
+                                const int idx[3]) {
+  return {dec.offset(0) + idx[0], dec.offset(1) + idx[1],
+          dec.offset(2) + idx[2]};
+}
+
+class HaloPlanGlobal : public ::testing::TestWithParam<BrickCase> {};
+
+TEST_P(HaloPlanGlobal, AxisGhostsMatchGlobalPeriodicField) {
+  // Oracle: the assembled global field with PhaseSpace::fill_ghosts_periodic
+  // (no comm code).  Each axis' begin/finish must deliver exactly the
+  // ghost blocks that axis' position sweep reads: the axis ghosts at
+  // interior transverse positions.
+  const BrickCase c = GetParam();
+  const int nu = 2;
+  vlasov::PhaseSpaceDims gd;
+  gd.nx = c.n[0];
+  gd.ny = c.n[1];
+  gd.nz = c.n[2];
+  gd.nux = gd.nuy = gd.nuz = nu;
+  gd.ghost = c.ghost;
+  vlasov::PhaseSpace global(gd, vlasov::PhaseSpaceGeometry{});
+  for (int i = 0; i < gd.nx; ++i)
+    for (int j = 0; j < gd.ny; ++j)
+      for (int k = 0; k < gd.nz; ++k) {
+        float* blk = global.block(i, j, k);
+        for (std::size_t v = 0; v < global.block_size(); ++v)
+          blk[v] = cell_value(i, j, k, v);
+      }
+  global.fill_ghosts_periodic();
+
+  comm::run(c.ranks, [&](comm::Communicator& comm) {
+    comm::CartTopology cart(comm, cart_dims(c));
+    mesh::BrickDecomposition dec(c.n, cart.dims(), cart.coords());
+    vlasov::PhaseSpaceDims dims = gd;
     dims.nx = dec.local_n(0);
-    dims.ny = thin;
-    dims.nz = thin;
-    dims.nux = dims.nuy = dims.nuz = nu;
-    vlasov::PhaseSpaceGeometry geom;
-    vlasov::PhaseSpace f(dims, geom);
+    dims.ny = dec.local_n(1);
+    dims.nz = dec.local_n(2);
+    vlasov::PhaseSpace f(dims, vlasov::PhaseSpaceGeometry{});
     for (int i = 0; i < dims.nx; ++i)
       for (int j = 0; j < dims.ny; ++j)
         for (int k = 0; k < dims.nz; ++k) {
-          float* blk = f.block(i, j, k);
-          for (std::size_t v = 0; v < f.block_size(); ++v)
-            blk[v] = cell_value(dec.offset(0) + i, j, k, v);
+          const int idx[3] = {i, j, k};
+          const auto gi = global_index(dec, idx);
+          std::copy_n(global.block(gi[0], gi[1], gi[2]), f.block_size(),
+                      f.block(i, j, k));
         }
 
-    mesh::exchange_phase_space_halo(f, cart);
-
+    mesh::HaloPlan plan(cart, dims, 900);
     const int g = dims.ghost;
-    auto wrap = [](int i, int n) { return ((i % n) + n) % n; };
-    for (int i = -g; i < dims.nx + g; ++i)
-      for (int j = -g; j < dims.ny + g; ++j)
-        for (int k = -g; k < dims.nz + g; ++k) {
-          const float* blk = f.block(i, j, k);
-          const int gx = wrap(dec.offset(0) + i, n_global);
-          for (std::size_t v = 0; v < f.block_size(); ++v)
-            ASSERT_FLOAT_EQ(blk[v],
-                            cell_value(gx, wrap(j, thin), wrap(k, thin), v))
-                << "rank " << comm.rank() << " cell " << i << "," << j << ","
-                << k;
-        }
-  });
-}
-
-TEST(HaloValidation, FoldAcrossThinUndecomposedAxesAccumulatesOnce) {
-  // Deposit-style fold on an (8, 2, 2) grid split 2 ways along x; the thin
-  // y/z axes (extent 2 < ghost 2+... ) wrap multiple times, so the fold
-  // must place every ghost contribution on its periodic image exactly
-  // once.  With all-ones deposits the result is a pure coverage count, and
-  // the fold must conserve the deposited total.
-  const int nx = 8, thin = 2, ghost = 2;
-  comm::run(2, [&](comm::Communicator& comm) {
-    comm::CartTopology cart(comm, {2, 1, 1});
-    mesh::BrickDecomposition dec({nx, thin, thin}, cart.dims(),
-                                 cart.coords());
-    mesh::Grid3D<double> grid(dec.local_n(0), thin, thin, ghost);
-    for (int i = -ghost; i < grid.nx() + ghost; ++i)
-      for (int j = -ghost; j < thin + ghost; ++j)
-        for (int k = -ghost; k < thin + ghost; ++k) grid.at(i, j, k) = 1.0;
-    const double deposited =
-        static_cast<double>(grid.nx() + 2 * ghost) * (thin + 2 * ghost) *
-        (thin + 2 * ghost);
-    mesh::fold_grid_halo(grid, cart);
-
-    // Images of global index g covered by an extended region of extent
-    // `local` at `off` along an axis of global size `n` (multi-wrap aware).
-    auto images = [&](int g, int n, int off, int local) {
-      int count = 0;
-      for (int img = -2; img <= 2; ++img) {
-        const int local_idx = g + img * n - off;
-        if (local_idx >= -ghost && local_idx < local + ghost) ++count;
-      }
-      return count;
-    };
-    for (int i = 0; i < grid.nx(); ++i)
-      for (int j = 0; j < thin; ++j)
-        for (int k = 0; k < thin; ++k) {
-          int expected = 0;
-          for (int cx = 0; cx < 2; ++cx) {
-            mesh::BrickDecomposition d2({nx, thin, thin}, cart.dims(),
-                                        {cx, 0, 0});
-            expected += images(dec.offset(0) + i, nx, d2.offset(0),
-                               d2.local_n(0)) *
-                        images(j, thin, 0, thin) * images(k, thin, 0, thin);
+    const int n_axis[3] = {dims.nx, dims.ny, dims.nz};
+    for (int axis = 0; axis < 3; ++axis) {
+      plan.begin_axis(f, axis);
+      plan.finish_axis(f, axis);
+      for (int a = -g; a < n_axis[axis] + g; ++a) {
+        if (a >= 0 && a < n_axis[axis]) continue;  // interior untouched
+        for (int t1 = 0; t1 < plan.axis(axis).t1n; ++t1)
+          for (int t2 = 0; t2 < plan.axis(axis).t2n; ++t2) {
+            int idx[3];
+            idx[axis] = a;
+            int tpos = 0;
+            for (int t = 0; t < 3; ++t) {
+              if (t == axis) continue;
+              idx[t] = tpos == 0 ? t1 : t2;
+              ++tpos;
+            }
+            const auto gi = global_index(dec, idx);
+            const float* blk = f.block(idx[0], idx[1], idx[2]);
+            const float* want = global.block(gi[0], gi[1], gi[2]);
+            for (std::size_t v = 0; v < f.block_size(); ++v)
+              ASSERT_EQ(blk[v], want[v])
+                  << "rank " << comm.rank() << " axis " << axis << " cell "
+                  << idx[0] << "," << idx[1] << "," << idx[2];
           }
-          ASSERT_DOUBLE_EQ(grid.at(i, j, k), expected)
-              << i << " " << j << " " << k;
-        }
-
-    // Conservation: nothing deposited is lost or duplicated.
-    const double total = comm.allreduce_sum(grid.sum_interior());
-    EXPECT_DOUBLE_EQ(total, 2.0 * deposited);
+      }
+    }
   });
 }
 
-// ---------------------------------------------------------------------------
-// Split (overlapped) exchange plans
-// ---------------------------------------------------------------------------
+// Rank counts 1/2/4/8 on a cube, plus the quasi-1D two_stream shape: the
+// thin undecomposed y/z axes (extent 2 < ghost 3) wrap locally, several
+// times over.
+INSTANTIATE_TEST_SUITE_P(
+    RankCounts, HaloPlanGlobal,
+    ::testing::Values(BrickCase{1, {0, 0, 0}, {8, 8, 8}, 3},
+                      BrickCase{2, {0, 0, 0}, {8, 8, 8}, 3},
+                      BrickCase{4, {0, 0, 0}, {8, 8, 8}, 3},
+                      BrickCase{8, {0, 0, 0}, {8, 8, 8}, 3},
+                      BrickCase{2, {2, 1, 1}, {8, 2, 2}, 3}),
+    case_name);
 
 TEST(HaloPlan, AxisRangesMatchDecomposition) {
   comm::run(4, [&](comm::Communicator& comm) {
@@ -383,65 +297,106 @@ TEST(HaloPlan, RejectsDecomposedAxisThinnerThanGhost) {
       std::invalid_argument);
 }
 
-TEST(GridFoldPlan, SplitFoldIsBitIdenticalToBlockingFold) {
-  // Same deposits, two fold paths: begin/finish (with arbitrary local
-  // work between) must reproduce fold_grid_halo exactly — same summation
-  // order, so bit-for-bit equality, not just tolerance.
-  const int n_global = 8;
-  for (int p : {1, 2, 4, 8}) {
-    comm::run(p, [&](comm::Communicator& comm) {
-      comm::CartTopology cart(comm, comm::CartTopology::choose_dims(p));
-      mesh::BrickDecomposition dec({n_global, n_global, n_global},
-                                   cart.dims(), cart.coords());
-      mesh::Grid3D<double> blocking(dec.local_n(0), dec.local_n(1),
-                                    dec.local_n(2), 2);
-      for (int i = -2; i < blocking.nx() + 2; ++i)
-        for (int j = -2; j < blocking.ny() + 2; ++j)
-          for (int k = -2; k < blocking.nz() + 2; ++k)
-            blocking.at(i, j, k) =
-                0.1 * comm.rank() + 1e-3 * i + 7e-5 * j + 3e-6 * k + 1.0;
-      mesh::Grid3D<double> split = blocking;
-
-      mesh::fold_grid_halo(blocking, cart);
-
-      mesh::GridFoldPlan plan(cart, 940);
-      plan.begin(split);
-      double sink = 0.0;  // "interior work" between the halves
-      for (int w = 0; w < 100; ++w) sink += std::sqrt(1.0 + w);
-      plan.finish(split);
-      ASSERT_GT(sink, 0.0);
-
-      for (int i = -2; i < blocking.nx() + 2; ++i)
-        for (int j = -2; j < blocking.ny() + 2; ++j)
-          for (int k = -2; k < blocking.nz() + 2; ++k)
-            ASSERT_EQ(split.at(i, j, k), blocking.at(i, j, k))
-                << p << " ranks, cell " << i << " " << j << " " << k;
-    });
-  }
+// Small dyadic deposit of brick `owner` at global index (gi, gj, gk):
+// every partial sum of these is exact in double, so the fold must match
+// the oracle with EXPECT_EQ whatever its summation order.
+double dyadic_deposit(int owner, int gi, int gj, int gk, int ghost) {
+  return 1.0 + owner + 0.25 * (gi + ghost) + 0.125 * (gj + ghost) +
+         0.0625 * (gk + ghost);
 }
 
-TEST(GridFoldPlan, ThinUndecomposedAxesMatchBlockingFold) {
-  // The quasi-1D two_stream shape: y/z wrap multiple times locally.
-  const int nx = 8, thin = 2;
-  comm::run(2, [&](comm::Communicator& comm) {
-    comm::CartTopology cart(comm, {2, 1, 1});
-    mesh::BrickDecomposition dec({nx, thin, thin}, cart.dims(),
-                                 cart.coords());
-    mesh::Grid3D<double> blocking(dec.local_n(0), thin, thin, 2);
-    for (int i = -2; i < blocking.nx() + 2; ++i)
-      for (int j = -2; j < thin + 2; ++j)
-        for (int k = -2; k < thin + 2; ++k)
-          blocking.at(i, j, k) = 1.0 + 0.01 * i + 0.1 * j + 0.3 * k;
-    mesh::Grid3D<double> split = blocking;
-    mesh::fold_grid_halo(blocking, cart);
+class GridFoldPlanGlobal : public ::testing::TestWithParam<BrickCase> {};
+
+TEST_P(GridFoldPlanGlobal, FoldMatchesGlobalPeriodicFold) {
+  // Every brick deposits into its interior and its ghost ring.  Oracle:
+  // all bricks' deposits summed into one global grid at their global
+  // indices, then Grid3D::fold_ghosts_periodic (no comm code).
+  const BrickCase c = GetParam();
+  const auto dims = cart_dims(c);
+  const int g = c.ghost;
+  mesh::Grid3D<double> global(c.n[0], c.n[1], c.n[2], g);
+  double deposited = 0.0;
+  for (int cx = 0; cx < dims[0]; ++cx)
+    for (int cy = 0; cy < dims[1]; ++cy)
+      for (int cz = 0; cz < dims[2]; ++cz) {
+        mesh::BrickDecomposition d2(c.n, dims, {cx, cy, cz});
+        const int owner = (cx * dims[1] + cy) * dims[2] + cz;
+        for (int i = -g; i < d2.local_n(0) + g; ++i)
+          for (int j = -g; j < d2.local_n(1) + g; ++j)
+            for (int k = -g; k < d2.local_n(2) + g; ++k) {
+              const int idx[3] = {i, j, k};
+              const auto gi = global_index(d2, idx);
+              const double v = dyadic_deposit(owner, gi[0], gi[1], gi[2], g);
+              global.at(gi[0], gi[1], gi[2]) += v;
+              deposited += v;
+            }
+      }
+  global.fold_ghosts_periodic();
+
+  comm::run(c.ranks, [&](comm::Communicator& comm) {
+    comm::CartTopology cart(comm, dims);
+    mesh::BrickDecomposition dec(c.n, cart.dims(), cart.coords());
+    const auto co = cart.coords();
+    const int owner = (co[0] * dims[1] + co[1]) * dims[2] + co[2];
+    mesh::Grid3D<double> grid(dec.local_n(0), dec.local_n(1), dec.local_n(2),
+                              g);
+    for (int i = -g; i < grid.nx() + g; ++i)
+      for (int j = -g; j < grid.ny() + g; ++j)
+        for (int k = -g; k < grid.nz() + g; ++k) {
+          const int idx[3] = {i, j, k};
+          const auto gi = global_index(dec, idx);
+          grid.at(i, j, k) = dyadic_deposit(owner, gi[0], gi[1], gi[2], g);
+        }
+
     mesh::GridFoldPlan plan(cart, 940);
-    plan.begin(split);
-    plan.finish(split);
-    for (int i = -2; i < blocking.nx() + 2; ++i)
-      for (int j = -2; j < thin + 2; ++j)
-        for (int k = -2; k < thin + 2; ++k)
-          ASSERT_EQ(split.at(i, j, k), blocking.at(i, j, k));
+    plan.begin(grid);
+    double sink = 0.0;  // "interior work" between the halves
+    for (int w = 0; w < 100; ++w) sink += std::sqrt(1.0 + w);
+    plan.finish(grid);
+    ASSERT_GT(sink, 0.0);
+
+    for (int i = -g; i < grid.nx() + g; ++i)
+      for (int j = -g; j < grid.ny() + g; ++j)
+        for (int k = -g; k < grid.nz() + g; ++k) {
+          const bool interior = i >= 0 && i < grid.nx() && j >= 0 &&
+                                j < grid.ny() && k >= 0 && k < grid.nz();
+          const int idx[3] = {i, j, k};
+          const auto gi = global_index(dec, idx);
+          // Interior cells hold the global fold; ghosts were handed on.
+          ASSERT_EQ(grid.at(i, j, k),
+                    interior ? global.at(gi[0], gi[1], gi[2]) : 0.0)
+              << "rank " << comm.rank() << " cell " << i << " " << j << " "
+              << k;
+        }
+    // Conservation: nothing deposited is lost or duplicated.
+    EXPECT_EQ(comm.allreduce_sum(grid.sum_interior()), deposited);
   });
 }
 
+// Ghost widths 1 and 2 at rank counts 1/2/4/8, plus the quasi-1D
+// two_stream shape whose thin y/z axes fold several periodic images.
+INSTANTIATE_TEST_SUITE_P(
+    RankCounts, GridFoldPlanGlobal,
+    ::testing::Values(BrickCase{1, {0, 0, 0}, {8, 8, 8}, 1},
+                      BrickCase{2, {0, 0, 0}, {8, 8, 8}, 1},
+                      BrickCase{4, {0, 0, 0}, {8, 8, 8}, 1},
+                      BrickCase{8, {0, 0, 0}, {8, 8, 8}, 1},
+                      BrickCase{1, {0, 0, 0}, {8, 8, 8}, 2},
+                      BrickCase{2, {0, 0, 0}, {8, 8, 8}, 2},
+                      BrickCase{4, {0, 0, 0}, {8, 8, 8}, 2},
+                      BrickCase{8, {0, 0, 0}, {8, 8, 8}, 2},
+                      BrickCase{2, {2, 1, 1}, {8, 2, 2}, 2}),
+    case_name);
+
+TEST(GridFoldPlan, RejectsDecomposedAxisThinnerThanGhost) {
+  EXPECT_THROW(
+      comm::run(4,
+                [&](comm::Communicator& comm) {
+                  comm::CartTopology cart(comm, {4, 1, 1});
+                  mesh::Grid3D<double> grid(1, 8, 8, 2);  // 1 < ghost 2
+                  mesh::GridFoldPlan plan(cart, 940);
+                  plan.begin(grid);
+                }),
+      std::invalid_argument);
+}
 }  // namespace

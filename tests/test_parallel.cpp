@@ -3,8 +3,11 @@
 // distributed moments, conservation, and per-rank checkpoint shard resume.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -17,7 +20,6 @@
 #include "driver/scenario.hpp"
 #include "gravity/poisson.hpp"
 #include "mesh/decomposition.hpp"
-#include "mesh/halo.hpp"
 #include "mesh/halo_plan.hpp"
 #include "parallel/decomp_plan.hpp"
 #include "parallel/distributed_solver.hpp"
@@ -106,7 +108,9 @@ TEST(FieldExchange, BrickSlabRoundTripPreservesValues) {
                                 (dec.offset(1) + j) * 1e2 +
                                 (dec.offset(2) + k);
       fft::ParallelFft3D pfft(comm, n);
-      auto slab = parallel::brick_to_slab(brick, dec, pfft, cart);
+      parallel::SlabExchange exchange(dec, pfft, cart, 700);
+      exchange.begin_to_slab(brick);
+      const auto& slab = exchange.finish_to_slab();
       // The slab must hold the global field rows this rank owns.
       for (int x = 0; x < pfft.local_nx(); ++x)
         for (int y = 0; y < n; ++y)
@@ -119,7 +123,8 @@ TEST(FieldExchange, BrickSlabRoundTripPreservesValues) {
           }
       mesh::Grid3D<double> back(dec.local_n(0), dec.local_n(1),
                                 dec.local_n(2), 2);
-      parallel::slab_to_brick(slab, pfft, dec, cart, back);
+      exchange.begin_to_brick(slab);
+      exchange.finish_to_brick(back);
       for (int i = 0; i < brick.nx(); ++i)
         for (int j = 0; j < brick.ny(); ++j)
           for (int k = 0; k < brick.nz(); ++k)
@@ -304,9 +309,11 @@ TEST(DistributedConservation, PositionSweepsConserveMassAcrossRanks) {
                                        0.9f * (dec.offset(2) + k) + 0.05f * v);
           }
       const double m0 = comm.allreduce_sum(f.total_mass());
+      mesh::HaloPlan halo(cart, dims, 720);
       for (int s = 0; s < 3; ++s)
         for (int axis : {2, 1, 0}) {
-          mesh::exchange_phase_space_halo(f, cart);
+          halo.begin_axis(f, axis);
+          halo.finish_axis(f, axis);
           vlasov::advect_position_axis(f, axis, 0.37, vlasov::SweepKernel::kAuto);
         }
       const double m1 = comm.allreduce_sum(f.total_mass());
@@ -431,6 +438,63 @@ TEST(DistributedOverlap, AbortMidOverlapWakesPeers) {
     FAIL() << "run() must rethrow the rank error";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "rank 0 died mid-overlap");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Brick gather over messages
+// ---------------------------------------------------------------------------
+
+TEST(DistributedGather, RejectsMalformedPlacementHeader) {
+  // A peer whose brick message places its brick outside the global grid
+  // (started with another decomp=, or a corrupt frame) must make rank 0
+  // throw, not write through PhaseSpace::block past the allocation.  Each
+  // header's payload size agrees with its extents, so only the placement
+  // check can catch it.
+  auto cfg = make_cfg("vlasov_only", {{"nx", "8"},
+                                      {"nu", "6"},
+                                      {"checkpoint_dir", ""}});
+  cfg.ranks = 2;
+  driver::Driver d(cfg);
+  hybrid::HybridSolver& global = d.solver();
+  const auto decomp = driver::resolve_run_decomp(cfg, global);
+  const auto& gd = global.neutrinos().dims();
+  const int g = gd.ghost;
+  const std::vector<std::array<std::int32_t, 6>> bad_headers = {
+      // The block one past the end of the allocation (ghosts included).
+      {gd.nx + g - 1, gd.ny + g - 1, gd.nz + g, 1, 1, 1},
+      // The block one before its start.
+      {-g, -g, -g - 1, 1, 1, 1},
+      // In range at the origin, but the extent overruns the grid.
+      {gd.nx - 1, 0, 0, 2, 1, 1},
+      // Negative extents whose product still matches a one-block payload.
+      {0, 0, 0, -1, -1, 1},
+  };
+  // The solver's brick-gather tag, as a literal the tag analysis can fold.
+  constexpr int kGatherTag = 0x6a7;
+  static_assert(kGatherTag == parallel::DistributedHybridSolver::kGatherTag);
+  for (const auto& header : bad_headers) {
+    // Rank 1's malformed brick is queued ahead of its real one, so rank 0
+    // reads it first.
+    EXPECT_THROW(
+        comm::run(2,
+                  [&](comm::Communicator& comm) {
+                    parallel::DistributedHybridSolver ds(global, comm, decomp);
+                    if (comm.rank() == 1) {
+                      const std::size_t blocks =
+                          static_cast<std::size_t>(header[3]) * header[4] *
+                          header[5];
+                      std::vector<std::uint8_t> buf(
+                          sizeof(header) +
+                          blocks * ds.local_f().block_size() * sizeof(float));
+                      std::memcpy(buf.data(), header.data(), sizeof(header));
+                      comm.send_bytes(0, kGatherTag, buf.data(), buf.size());
+                    }
+                    ds.gather_into(global, /*via_messages=*/true);
+                  }),
+        std::runtime_error)
+        << header[0] << "," << header[1] << "," << header[2] << " + "
+        << header[3] << "x" << header[4] << "x" << header[5];
   }
 }
 

@@ -36,7 +36,7 @@ COLLECTIVES = {
     "bcast", "bcast_bytes", "allgather", "allgather_bytes",
     "alltoall", "alltoall_bytes", "alltoallv",
     # Project collective helpers (every rank must call; field_exchange.hpp).
-    "brick_to_slab", "slab_to_brick", "allgather_bricks",
+    "allgather_bricks",
 }
 
 _RANK_IDENT = re.compile(r"^(rank_?|my_?rank|world_?rank|is_lead\w*|lead\w*)$")
